@@ -175,6 +175,23 @@ BenchOptions::appList() const
     return workload::appNames();
 }
 
+namespace
+{
+
+void
+parseJobsOrExit(const char *text, unsigned &jobs)
+{
+    if (!SweepPool::parseJobs(text, jobs)) {
+        std::fprintf(stderr,
+                     "--jobs: '%s' is not a worker count "
+                     "(decimal digits; 0 = default)\n",
+                     text);
+        std::exit(1);
+    }
+}
+
+} // namespace
+
 BenchOptions
 parseArgs(int argc, char **argv)
 {
@@ -214,9 +231,9 @@ parseArgs(int argc, char **argv)
                 pos = comma == std::string::npos ? comma : comma + 1;
             }
         } else if (const char *vj = value("--jobs=")) {
-            opt.jobs = static_cast<unsigned>(std::atoi(vj));
+            parseJobsOrExit(vj, opt.jobs);
         } else if (const char *vj2 = next_value("--jobs")) {
-            opt.jobs = static_cast<unsigned>(std::atoi(vj2));
+            parseJobsOrExit(vj2, opt.jobs);
         } else if (const char *vp = value("--json=")) {
             opt.jsonPath = vp;
         } else if (const char *vp2 = next_value("--json")) {

@@ -6,8 +6,8 @@
  * shapes (EXPERIMENTS.md records the comparison).
  *
  * Cells are independent machines, so every bench binary builds its
- * whole cell list up front and runs it through the work-stealing
- * SweepPool (--jobs=N / SMTP_SWEEP_JOBS); tables are printed from the
+ * whole cell list up front and runs it through the SweepPool
+ * (--jobs=N / SMTP_SWEEP_JOBS); tables are printed from the
  * collected results in deterministic cell order, so the output is
  * byte-identical at any thread count. --json=PATH appends one
  * machine-readable record per cell (JSON Lines) for CI perf

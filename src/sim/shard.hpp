@@ -23,8 +23,7 @@
  *
  * The serial execution mode (--exec=serial) runs the *same* windowed
  * engine on one host thread — it is the reference implementation the
- * parallel mode must match bit-for-bit, exactly like the wheel/heap
- * pair in sim/eventq.hpp.
+ * parallel mode must match bit-for-bit.
  */
 
 #ifndef SMTP_SIM_SHARD_HPP
@@ -180,14 +179,14 @@ class ShardSet
   public:
     static constexpr unsigned noShard = ~0u;
 
-    /** @p n owned per-shard queues on the given kernel. */
-    ShardSet(EventQueue::Kernel kernel, unsigned n)
+    /** @p n owned per-shard queues. */
+    explicit ShardSet(unsigned n)
     {
         SMTP_ASSERT(n >= 1, "shard set needs at least one shard");
         owned_.reserve(n);
         queues_.reserve(n);
         for (unsigned s = 0; s < n; ++s) {
-            owned_.push_back(std::make_unique<EventQueue>(kernel));
+            owned_.push_back(std::make_unique<EventQueue>());
             queues_.push_back(owned_.back().get());
         }
         mail_.resize(static_cast<std::size_t>(n) * n);

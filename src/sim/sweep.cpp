@@ -1,6 +1,11 @@
 #include "sweep.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
+#include <limits>
+#include <thread>
+#include <vector>
 
 namespace smtp
 {
@@ -8,192 +13,57 @@ namespace smtp
 unsigned
 SweepPool::defaultJobs()
 {
-    if (const char *env = std::getenv("SMTP_SWEEP_JOBS")) {
-        long v = std::atol(env);
-        if (v >= 1)
-            return static_cast<unsigned>(v);
-    }
+    unsigned v = 0;
+    const char *env = std::getenv("SMTP_SWEEP_JOBS");
+    if (env != nullptr && parseJobs(env, v) && v >= 1)
+        return v;
     unsigned hw = std::thread::hardware_concurrency();
     return hw != 0 ? hw : 1;
 }
 
-SweepPool::SweepPool(unsigned jobs) : jobs_(jobs != 0 ? jobs : defaultJobs())
-{
-    deques_.reserve(jobs_);
-    for (unsigned i = 0; i < jobs_; ++i)
-        deques_.push_back(std::make_unique<WorkDeque>());
-    // Worker 0 is the calling thread; only spawn the helpers.
-    for (unsigned i = 1; i < jobs_; ++i)
-        workers_.emplace_back([this, i] { workerLoop(i); });
-}
-
-SweepPool::~SweepPool()
-{
-    {
-        std::lock_guard<std::mutex> lk(mtx_);
-        stop_ = true;
-    }
-    workCv_.notify_all();
-    for (auto &w : workers_)
-        w.join();
-    {
-        std::lock_guard<std::mutex> lk(svcMtx_);
-        svcStop_ = true;
-    }
-    svcCv_.notify_all();
-    for (auto &w : svcWorkers_)
-        w.join();
-}
-
-std::uint64_t
-SweepPool::enqueue(int priority, std::function<void()> fn)
-{
-    std::uint64_t id;
-    {
-        std::lock_guard<std::mutex> lk(svcMtx_);
-        id = svcNextId_++;
-        svcQueue_[priority].push_back(std::move(fn));
-        ++svcQueued_;
-        if (svcWorkers_.empty()) {
-            for (unsigned i = 0; i < jobs_; ++i)
-                svcWorkers_.emplace_back([this] { serviceLoop(); });
-        }
-    }
-    svcCv_.notify_one();
-    return id;
-}
-
-void
-SweepPool::serviceLoop()
-{
-    std::unique_lock<std::mutex> lk(svcMtx_);
-    while (true) {
-        svcCv_.wait(lk, [&] { return svcStop_ || !svcQueue_.empty(); });
-        if (svcStop_)
-            return;
-        auto it = svcQueue_.begin(); // Highest priority bucket.
-        std::function<void()> fn = std::move(it->second.front());
-        it->second.pop_front();
-        if (it->second.empty())
-            svcQueue_.erase(it);
-        --svcQueued_;
-        ++svcRunning_;
-        lk.unlock();
-        fn();
-        lk.lock();
-        --svcRunning_;
-        if (svcQueue_.empty() && svcRunning_ == 0)
-            svcDoneCv_.notify_all();
-    }
-}
-
-void
-SweepPool::drainService()
-{
-    std::unique_lock<std::mutex> lk(svcMtx_);
-    svcDoneCv_.wait(lk,
-                    [&] { return svcQueue_.empty() && svcRunning_ == 0; });
-}
-
-std::size_t
-SweepPool::serviceQueued() const
-{
-    std::lock_guard<std::mutex> lk(svcMtx_);
-    return svcQueued_;
-}
-
 bool
-SweepPool::popOwn(unsigned self, std::size_t &task)
+SweepPool::parseJobs(const char *text, unsigned &out)
 {
-    WorkDeque &dq = *deques_[self];
-    std::lock_guard<std::mutex> lk(dq.mtx);
-    if (dq.tasks.empty())
+    if (text == nullptr || *text == '\0')
         return false;
-    task = dq.tasks.back();
-    dq.tasks.pop_back();
+    unsigned long long v = 0;
+    for (const char *p = text; *p != '\0'; ++p) {
+        if (*p < '0' || *p > '9')
+            return false;
+        v = v * 10 + static_cast<unsigned>(*p - '0');
+        if (v > std::numeric_limits<unsigned>::max())
+            return false;
+    }
+    out = static_cast<unsigned>(v);
     return true;
 }
 
-bool
-SweepPool::steal(unsigned self, std::size_t &task)
+SweepPool::SweepPool(unsigned jobs) : jobs_(jobs != 0 ? jobs : defaultJobs())
 {
-    for (unsigned i = 1; i < jobs_; ++i) {
-        WorkDeque &dq = *deques_[(self + i) % jobs_];
-        std::lock_guard<std::mutex> lk(dq.mtx);
-        if (!dq.tasks.empty()) {
-            task = dq.tasks.front();
-            dq.tasks.pop_front();
-            return true;
-        }
-    }
-    return false;
-}
-
-void
-SweepPool::runTasks(unsigned self)
-{
-    const std::function<void(std::size_t)> *body;
-    {
-        std::lock_guard<std::mutex> lk(mtx_);
-        body = body_;
-    }
-    std::size_t done = 0;
-    std::size_t task;
-    while (popOwn(self, task) || steal(self, task)) {
-        (*body)(task);
-        ++done;
-    }
-    if (done > 0) {
-        std::lock_guard<std::mutex> lk(mtx_);
-        pending_ -= done;
-        if (pending_ == 0)
-            doneCv_.notify_all();
-    }
-}
-
-void
-SweepPool::workerLoop(unsigned self)
-{
-    std::uint64_t seen = 0;
-    while (true) {
-        {
-            std::unique_lock<std::mutex> lk(mtx_);
-            workCv_.wait(lk, [&] { return stop_ || epoch_ != seen; });
-            if (stop_)
-                return;
-            seen = epoch_;
-        }
-        runTasks(self);
-    }
 }
 
 void
 SweepPool::parallelFor(std::size_t n,
                        const std::function<void(std::size_t)> &body)
 {
-    if (n == 0)
-        return;
-    if (jobs_ == 1) {
+    std::size_t threads = std::min<std::size_t>(jobs_, n);
+    if (threads <= 1) {
         for (std::size_t i = 0; i < n; ++i)
             body(i);
         return;
     }
-    for (std::size_t i = 0; i < n; ++i) {
-        WorkDeque &dq = *deques_[i % jobs_];
-        std::lock_guard<std::mutex> lk(dq.mtx);
-        dq.tasks.push_back(i);
-    }
-    {
-        std::lock_guard<std::mutex> lk(mtx_);
-        body_ = &body;
-        pending_ = n;
-        ++epoch_;
-    }
-    workCv_.notify_all();
-    runTasks(0); // The caller works too.
-    std::unique_lock<std::mutex> lk(mtx_);
-    doneCv_.wait(lk, [&] { return pending_ == 0; });
-    body_ = nullptr;
+    std::atomic<std::size_t> next{0};
+    auto work = [&] {
+        for (std::size_t i = next++; i < n; i = next++)
+            body(i);
+    };
+    std::vector<std::thread> helpers;
+    helpers.reserve(threads - 1);
+    for (std::size_t t = 1; t < threads; ++t)
+        helpers.emplace_back(work);
+    work(); // The caller works too.
+    for (auto &h : helpers)
+        h.join();
 }
 
 } // namespace smtp

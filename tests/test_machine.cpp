@@ -105,6 +105,14 @@ struct GridCase
     MachineModel model;
 };
 
+// Without a printer gtest dumps the raw bytes (a string-literal address
+// and padding), which makes the discovered ctest names change per build.
+void
+PrintTo(const GridCase &c, std::ostream *os)
+{
+    *os << c.app << '/' << modelName(c.model);
+}
+
 class AppModelTest : public ::testing::TestWithParam<GridCase>
 {
 };

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -335,117 +337,126 @@ TEST(InlineCallback, HoldsStdFunctionTransparently)
     EXPECT_EQ(hits, 2);
 }
 
-// ----------------------------------------- cross-kernel determinism
+// ------------------------------------------------ event order oracle
+
+/** One schedule() call: the (when, prio, seq) key and the event's id. */
+struct Scheduled
+{
+    Tick when;
+    EventQueue::Priority prio;
+    std::uint64_t seq;
+    int id;
+};
 
 /**
- * Drive one kernel through a deterministic pseudo-random schedule mixing
+ * Drive the queue through a deterministic pseudo-random schedule mixing
  * near/far deltas, same-tick bursts, all three priorities, and events
- * scheduling events, and record the exact execution trace.
+ * scheduling events. Every event is scheduled strictly after the
+ * current tick, so no later schedule() can sort ahead of an event that
+ * already ran: the whole log sorted by (when, prio, seq) is the exact
+ * order the queue must run it in. @p log records each schedule() call
+ * (seq = call order); @p ran records the ids in execution order.
  */
-std::vector<std::pair<int, Tick>>
-traceKernel(EventQueue::Kernel kernel)
+void
+traceQueue(std::vector<Scheduled> &log, std::vector<int> &ran)
 {
-    EventQueue eq(kernel);
-    std::vector<std::pair<int, Tick>> trace;
+    EventQueue eq;
     std::mt19937_64 rng(0xC0FFEE);
-    int next_id = 0;
-
-    auto record = [&trace, &eq](int id) { trace.emplace_back(id, eq.curTick()); };
+    std::function<void(Tick, int, EventQueue::Priority,
+                       std::function<void()>)>
+        post = [&](Tick when, int id, EventQueue::Priority prio,
+                   std::function<void()> then) {
+            log.push_back({when, prio, log.size(), id});
+            eq.schedule(when,
+                        [id, then, &ran] {
+                            ran.push_back(id);
+                            if (then)
+                                then();
+                        },
+                        prio);
+        };
 
     constexpr EventQueue::Priority prios[] = {
         EventQueue::prioEarly, EventQueue::prioDefault,
         EventQueue::prioLate};
+    int next_id = 0;
 
     for (int round = 0; round < 200; ++round) {
         // A burst of same-tick events at mixed priorities.
-        Tick burst = eq.curTick() + rng() % 64;
-        for (int i = 0; i < 4; ++i) {
-            int id = next_id++;
-            eq.schedule(burst, [id, record] { record(id); },
-                        prios[rng() % 3]);
-        }
-        // Near events (inside the wheel horizon) ...
+        Tick burst = eq.curTick() + 1 + rng() % 64;
+        for (int i = 0; i < 4; ++i)
+            post(burst, next_id++, prios[rng() % 3], nullptr);
+        // Near events ...
         for (int i = 0; i < 8; ++i) {
-            int id = next_id++;
-            Tick d = rng() % 5000;
+            Tick d = 1 + rng() % 5000;
             int chain = next_id++;
-            eq.scheduleIn(d, [id, chain, d, record, &eq] {
-                record(id);
-                // ... that schedule follow-ups themselves.
-                eq.scheduleIn(d / 2 + 1,
-                              [chain, record] { record(chain); });
-            });
+            post(eq.curTick() + d, next_id++, EventQueue::prioDefault,
+                 [&, chain, d] {
+                     // ... that schedule follow-ups themselves.
+                     post(eq.curTick() + d / 2 + 1, chain,
+                          EventQueue::prioDefault, nullptr);
+                 });
         }
-        // Far events, well past the 1024 * 512-tick wheel span.
-        for (int i = 0; i < 2; ++i) {
-            int id = next_id++;
-            eq.scheduleIn((1u << 20) + rng() % (1u << 22),
-                          [id, record] { record(id); },
-                          prios[rng() % 3]);
-        }
+        // Far events, millions of ticks out.
+        for (int i = 0; i < 2; ++i)
+            post(eq.curTick() + (1u << 20) + rng() % (1u << 22),
+                 next_id++, prios[rng() % 3], nullptr);
         // Drain a bounded stretch so scheduling interleaves with
-        // execution (exercising cursor advance + migration).
+        // execution.
         eq.run(eq.curTick() + 10000);
     }
     eq.run();
-    return trace;
 }
 
-TEST(EventQueueKernels, WheelMatchesHeapBitForBit)
+TEST(EventQueueOrder, MatchesSortedScheduleOracle)
 {
-    auto heap = traceKernel(EventQueue::Kernel::Heap);
-    auto wheel = traceKernel(EventQueue::Kernel::Wheel);
-    ASSERT_EQ(heap.size(), wheel.size());
-    for (std::size_t i = 0; i < heap.size(); ++i) {
-        EXPECT_EQ(heap[i], wheel[i]) << "divergence at event " << i;
-    }
+    std::vector<Scheduled> log;
+    std::vector<int> ran;
+    traceQueue(log, ran);
+
+    std::sort(log.begin(), log.end(),
+              [](const Scheduled &a, const Scheduled &b) {
+                  if (a.when != b.when)
+                      return a.when < b.when;
+                  if (a.prio != b.prio)
+                      return a.prio < b.prio;
+                  return a.seq < b.seq;
+              });
+    ASSERT_EQ(ran.size(), log.size());
+    for (std::size_t i = 0; i < log.size(); ++i)
+        ASSERT_EQ(ran[i], log[i].id) << "divergence at event " << i;
 }
 
-TEST(EventQueueKernels, ScheduleBehindAdvancedCursor)
+TEST(EventQueueOrder, ScheduleAfterRunToLimit)
 {
-    // run(limit) advances curTick past empty stretches; an event then
-    // scheduled near curTick can land behind the wheel cursor and must
-    // still run before later wheel-resident events.
-    for (auto kernel :
-         {EventQueue::Kernel::Wheel, EventQueue::Kernel::Heap}) {
-        EventQueue eq(kernel);
-        std::vector<int> order;
-        eq.run(100000);
-        EXPECT_EQ(eq.curTick(), 100000u);
-        eq.schedule(100001, [&order] { order.push_back(1); });
-        eq.schedule(100002, [&order] { order.push_back(2); });
-        eq.schedule(200000, [&order] { order.push_back(3); });
-        eq.run();
-        EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    }
+    // run(limit) advances curTick past empty stretches; events then
+    // scheduled near curTick must still run in time order.
+    EventQueue eq;
+    std::vector<int> order;
+    eq.run(100000);
+    EXPECT_EQ(eq.curTick(), 100000u);
+    eq.schedule(200000, [&order] { order.push_back(3); });
+    eq.schedule(100002, [&order] { order.push_back(2); });
+    eq.schedule(100001, [&order] { order.push_back(1); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(EventQueueKernels, NextTickAgreesAcrossKernels)
+TEST(EventQueueOrder, NextTickTracksEarliestEvent)
 {
-    EventQueue heap(EventQueue::Kernel::Heap);
-    EventQueue wheel(EventQueue::Kernel::Wheel);
-    for (EventQueue *eq : {&heap, &wheel}) {
-        eq->schedule(700, [] {});
-        eq->schedule(50, [] {});
-        eq->schedule(1u << 24, [] {});
-    }
-    EXPECT_EQ(heap.nextTick(), 50u);
-    EXPECT_EQ(wheel.nextTick(), 50u);
-    heap.run(60);
-    wheel.run(60);
-    EXPECT_EQ(heap.nextTick(), 700u);
-    EXPECT_EQ(wheel.nextTick(), 700u);
-    heap.run(1000);
-    wheel.run(1000);
-    EXPECT_EQ(heap.nextTick(), Tick{1} << 24);
-    EXPECT_EQ(wheel.nextTick(), Tick{1} << 24);
-    heap.run();
-    wheel.run();
-    EXPECT_EQ(heap.nextTick(), maxTick);
-    EXPECT_EQ(wheel.nextTick(), maxTick);
-    EXPECT_EQ(heap.executedCount(), wheel.executedCount());
+    EventQueue eq;
+    eq.schedule(700, [] {});
+    eq.schedule(50, [] {});
+    eq.schedule(1u << 24, [] {});
+    EXPECT_EQ(eq.nextTick(), 50u);
+    eq.run(60);
+    EXPECT_EQ(eq.nextTick(), 700u);
+    eq.run(1000);
+    EXPECT_EQ(eq.nextTick(), Tick{1} << 24);
+    eq.run();
+    EXPECT_EQ(eq.nextTick(), maxTick);
+    EXPECT_EQ(eq.executedCount(), 3u);
 }
-
 
 } // namespace
 } // namespace smtp

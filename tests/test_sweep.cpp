@@ -1,20 +1,15 @@
 /**
  * @file
  * Tests for the parallel sweep harness (SweepPool) and the determinism
- * contracts it relies on: a work-stealing parallelFor must run every
- * index exactly once, results must not depend on the worker count, and
- * whole-machine simulations must be bit-identical across both thread
- * counts and event-kernel choices.
+ * contracts it relies on: parallelFor must run every index exactly
+ * once, results must not depend on the worker count, and whole-machine
+ * simulations must be bit-identical across thread counts.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
-#include <numeric>
-#include <thread>
 #include <vector>
 
 #include "machine/machine.hpp"
@@ -72,17 +67,30 @@ TEST(SweepPool, DefaultJobsHonorsEnv)
     EXPECT_GE(SweepPool::defaultJobs(), 1u);
 }
 
+TEST(SweepPool, ParseJobsIsStrict)
+{
+    unsigned jobs = 99;
+    for (const char *bad : {"garbage", "-1", "4x", "", " 4", "+4",
+                            "99999999999999999999"}) {
+        EXPECT_FALSE(SweepPool::parseJobs(bad, jobs)) << "'" << bad << "'";
+        EXPECT_EQ(jobs, 99u) << "rejected input must not write";
+    }
+    ASSERT_TRUE(SweepPool::parseJobs("0", jobs));
+    EXPECT_EQ(jobs, 0u);
+    ASSERT_TRUE(SweepPool::parseJobs("8", jobs));
+    EXPECT_EQ(jobs, 8u);
+}
+
 // --------------------------------------------- machine determinism
 
 /** Build and run one small machine; return its reported exec time. */
 Tick
-runMachine(EventQueue::Kernel kernel)
+runMachine()
 {
     MachineParams mp;
     mp.model = MachineModel::SMTp;
     mp.nodes = 2;
     mp.appThreadsPerNode = 1;
-    mp.eventKernel = kernel;
     Machine machine(mp);
 
     auto app = workload::makeApp("fft");
@@ -100,91 +108,6 @@ runMachine(EventQueue::Kernel kernel)
     return machine.execTime();
 }
 
-TEST(SweepService, RunsEveryTaskOnceAndDrains)
-{
-    SweepPool pool(3);
-    constexpr std::size_t n = 200;
-    std::vector<std::atomic<int>> hits(n);
-    for (std::size_t i = 0; i < n; ++i)
-        pool.enqueue(0, [&hits, i] {
-            hits[i].fetch_add(1, std::memory_order_relaxed);
-        });
-    pool.drainService();
-    EXPECT_EQ(pool.serviceQueued(), 0u);
-    for (std::size_t i = 0; i < n; ++i)
-        ASSERT_EQ(hits[i].load(), 1) << "task " << i;
-}
-
-TEST(SweepService, HigherPriorityStartsFirstWithinOneWorker)
-{
-    // A jobs=1 pool has exactly one service worker, so the start order
-    // IS the queue order: block it, queue low then high, and the high
-    // task must start before the low one.
-    SweepPool pool(1);
-    std::mutex m;
-    std::condition_variable cv;
-    bool release = false;
-    std::vector<int> order;
-    pool.enqueue(0, [&] {
-        std::unique_lock<std::mutex> lk(m);
-        cv.wait(lk, [&] { return release; });
-    });
-    // The gate task may still be queued (not yet picked up); either
-    // way the next three are ordered strictly behind it.
-    pool.enqueue(1, [&] {
-        std::lock_guard<std::mutex> lk(m);
-        order.push_back(1);
-    });
-    pool.enqueue(5, [&] {
-        std::lock_guard<std::mutex> lk(m);
-        order.push_back(5);
-    });
-    pool.enqueue(1, [&] {
-        std::lock_guard<std::mutex> lk(m);
-        order.push_back(100);
-    });
-    {
-        std::lock_guard<std::mutex> lk(m);
-        release = true;
-    }
-    cv.notify_all();
-    pool.drainService();
-    ASSERT_EQ(order.size(), 3u);
-    EXPECT_EQ(order[0], 5);   // priority 5 jumps the earlier 1s
-    EXPECT_EQ(order[1], 1);   // FIFO within priority 1
-    EXPECT_EQ(order[2], 100);
-}
-
-TEST(SweepService, SingleJobPoolStillServicesOffThread)
-{
-    // jobs==1 has no batch workers (parallelFor degenerates inline),
-    // but service mode must still run tasks on a worker thread: an
-    // event-loop caller enqueues and returns immediately.
-    SweepPool pool(1);
-    std::thread::id svc_tid;
-    pool.enqueue(0, [&] { svc_tid = std::this_thread::get_id(); });
-    pool.drainService();
-    EXPECT_NE(svc_tid, std::this_thread::get_id());
-}
-
-TEST(SweepService, CoexistsWithParallelForBatches)
-{
-    SweepPool pool(4);
-    std::atomic<int> svc{0}, batch{0};
-    for (int i = 0; i < 50; ++i)
-        pool.enqueue(i % 3, [&svc] { ++svc; });
-    pool.parallelFor(100, [&batch](std::size_t) { ++batch; });
-    pool.drainService();
-    EXPECT_EQ(svc.load(), 50);
-    EXPECT_EQ(batch.load(), 100);
-}
-
-TEST(SweepDeterminism, HeapAndWheelKernelsAgreeOnWholeMachines)
-{
-    EXPECT_EQ(runMachine(EventQueue::Kernel::Wheel),
-              runMachine(EventQueue::Kernel::Heap));
-}
-
 TEST(SweepDeterminism, ResultsIndependentOfWorkerCount)
 {
     // The same four cells swept serially and by a contended pool must
@@ -193,17 +116,16 @@ TEST(SweepDeterminism, ResultsIndependentOfWorkerCount)
         SweepPool pool(jobs);
         std::vector<Tick> out(4);
         pool.parallelFor(out.size(), [&out](std::size_t i) {
-            out[i] = runMachine(i % 2 == 0 ? EventQueue::Kernel::Wheel
-                                           : EventQueue::Kernel::Heap);
+            out[i] = runMachine();
         });
         return out;
     };
     std::vector<Tick> serial = sweep(1);
     std::vector<Tick> parallel = sweep(4);
     EXPECT_EQ(serial, parallel);
-    // And the two kernels agree cell-by-cell on top.
-    EXPECT_EQ(serial[0], serial[1]);
-    EXPECT_EQ(serial[2], serial[3]);
+    // And identical cells reproduce each other within one process.
+    for (Tick t : serial)
+        EXPECT_EQ(t, serial[0]);
 }
 
 } // namespace

@@ -315,7 +315,13 @@ toolMain(int argc, char **argv)
                 return 2;
             }
         } else if (arg.rfind("--jobs=", 0) == 0) {
-            o.jobs = static_cast<unsigned>(std::stoul(value()));
+            if (!SweepPool::parseJobs(value().c_str(), o.jobs)) {
+                std::fprintf(stderr,
+                             "--jobs: '%s' is not a worker count "
+                             "(decimal digits; 0 = default)\n",
+                             value().c_str());
+                return 1;
+            }
         } else if (arg.rfind("--json=", 0) == 0) {
             o.jsonPath = value();
         } else if (arg == "--markdown") {
