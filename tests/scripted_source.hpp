@@ -88,6 +88,27 @@ class ScriptedSource : public InstSource
         ops_.push_back(op);
     }
 
+    /**
+     * A non-speculative ldctxt: it executes at the head of the active
+     * list, so its retirement (seen through the ldctxt-retired hook)
+     * marks the tick at which everything before it has committed.
+     */
+    void
+    marker()
+    {
+        MicroOp op;
+        op.pc = pc();
+        op.cls = OpClass::PLdctxt;
+        ops_.push_back(op);
+    }
+
+    /** Place the next op at @p pc (e.g. on a fresh page). */
+    void
+    jumpTo(std::uint64_t pc)
+    {
+        pcBase_ = pc - 4 * ops_.size();
+    }
+
     /** A resolved conditional branch at the current pc. */
     void
     branch(bool taken, std::uint64_t target)

@@ -3,13 +3,26 @@
  * Whole-machine integration tests: every application runs to completion
  * on every machine model, synchronization primitives work end-to-end on
  * real coherent machines, coherence invariants hold after quiescence,
- * and basic scaling sanity (more nodes => faster parallel section).
+ * basic scaling sanity (more nodes => faster parallel section), and a
+ * golden of every modelled counter for one small cell per model.
+ *
+ * Regenerate the stats golden after an intentional model change with
+ *
+ *   SMTP_REGOLD=1 ./build/tests/smtp_tests --gtest_filter='StatsGolden*'
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+
 #include "machine/machine.hpp"
 #include "workload/app.hpp"
+
+#ifndef SMTP_GOLDEN_DIR
+#define SMTP_GOLDEN_DIR "tests/golden"
+#endif
 
 namespace smtp
 {
@@ -153,6 +166,84 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(info.param.app) + "_" +
                std::string(modelName(info.param.model));
     });
+
+// ------------------------------------------------------- stats golden
+
+/**
+ * Every modelled counter of one cell: the machine's StatGroup dump plus
+ * the per-thread pipeline counters it does not carry (the per-cell JSON
+ * records only aggregate execution time and memory stall).
+ */
+std::string
+statsText(MachineModel model, unsigned ways)
+{
+    SimRun run(model, 2, ways, "Radix");
+    Tick t = run.go();
+    std::ostringstream os;
+    os << "== " << modelName(model) << " nodes=2 ways=" << ways
+       << " exec_ticks=" << t << "\n";
+    run.machine->dumpStats(os);
+    for (unsigned n = 0; n < run.machine->numNodes(); ++n) {
+        const SmtCpu &cpu = *run.machine->node(n).cpu;
+        for (unsigned tid = 0; tid < cpu.numThreads(); ++tid) {
+            const auto &st = cpu.threadStats(static_cast<ThreadId>(tid));
+            os << "node" << n << ".t" << tid
+               << " committed=" << st.committed.value()
+               << " committedMem=" << st.committedMem.value()
+               << " memStallCycles=" << st.memStallCycles.value()
+               << " branches=" << st.branches.value()
+               << " condBranches=" << st.condBranches.value()
+               << " mispredicts=" << st.mispredicts.value()
+               << " squashedInsts=" << st.squashedInsts.value()
+               << " squashCycles=" << st.squashCycles.value()
+               << " replays=" << st.replays.value()
+               << " wrongPathFetched=" << st.wrongPathFetched.value()
+               << " itlbMisses=" << st.itlbMisses.value()
+               << " dtlbMisses=" << st.dtlbMisses.value() << "\n";
+        }
+        os << "node" << n << ".proto peakBranchStack="
+           << cpu.protoOccupancy.branchStack.peak()
+           << " peakLsq=" << cpu.protoOccupancy.lsq.peak() << "\n";
+    }
+    return os.str();
+}
+
+TEST(StatsGolden, EveryModelTwoNodes)
+{
+    std::string got;
+    for (MachineModel m :
+         {MachineModel::Base, MachineModel::IntPerfect,
+          MachineModel::Int512KB, MachineModel::Int64KB,
+          MachineModel::SMTp}) {
+        got += statsText(m, 1);
+    }
+    got += statsText(MachineModel::SMTp, 2);
+
+    std::string path = std::string(SMTP_GOLDEN_DIR) + "/stats_2node.txt";
+    if (std::getenv("SMTP_REGOLD") != nullptr) {
+        std::ofstream os(path, std::ios::binary);
+        ASSERT_TRUE(os.good()) << "cannot regold " << path;
+        os << got;
+        return;
+    }
+    std::ifstream is(path, std::ios::binary);
+    std::ostringstream want;
+    want << is.rdbuf();
+    ASSERT_FALSE(want.str().empty())
+        << path << " missing; run with SMTP_REGOLD=1 to create it";
+    // Report the first differing line rather than two whole dumps.
+    std::istringstream g(got), w(want.str());
+    std::string gl, wl;
+    for (unsigned line = 1;; ++line) {
+        bool gok = static_cast<bool>(std::getline(g, gl));
+        bool wok = static_cast<bool>(std::getline(w, wl));
+        if (!gok && !wok)
+            break;
+        ASSERT_EQ(gl, wl) << "stats_2node.txt line " << line
+                          << " differs; regenerate with SMTP_REGOLD=1 "
+                             "only after an intended model change";
+    }
+}
 
 // ------------------------------------------------------------ specifics
 
