@@ -68,6 +68,17 @@ struct SmtCpu::ThreadState
     std::uint8_t stallCause = trace::stallNone; ///< Open stall window.
 
     ThreadStats stats;
+
+    /**
+     * Graduation waits on an incomplete memory op at the head of the
+     * active list: the cycle is a memory stall (paper Section 4).
+     */
+    bool
+    memoryBlocked() const
+    {
+        return !rob.empty() && isMemOp(rob.front()->op.cls) &&
+               !rob.front()->completed;
+    }
 };
 
 /**
@@ -165,6 +176,7 @@ SmtCpu::SmtCpu(EventQueue &eq, const CpuParams &params,
         }
         threads_.push_back(std::move(ts));
     }
+    fetchOrder_.resize(threads_.size());
 
     cache_->setInvalHook([this](Addr line) { onLineInvalidated(line); });
 }
@@ -273,18 +285,25 @@ SmtCpu::idle() const
 void
 SmtCpu::scheduleTick()
 {
+    scheduleTick(clock_.edgeAfter(eq_->curTick()));
+}
+
+void
+SmtCpu::scheduleTick(Tick when)
+{
     if (tickScheduled_ || !started_)
         return;
     tickScheduled_ = true;
     static_assert(EventQueue::Callback::storesInline<TickEv>,
                   "the per-cycle pipeline event must not heap-allocate");
-    eq_->schedule(clock_.edgeAfter(eq_->curTick()), TickEv{this});
+    eq_->schedule(when, TickEv{this});
 }
 
 void
 SmtCpu::tick()
 {
     ++cycles;
+    progress_ = false;
     commitStage();
     drainStoreBuffer();
     issueStage();
@@ -295,8 +314,55 @@ SmtCpu::tick()
     if (params_.protocolThread)
         sampleProtoOccupancy();
     frontPriorityApp_ = !frontPriorityApp_;
-    if (!idle())
-        scheduleTick();
+    if (idle() || tickScheduled_)
+        return;
+    scheduleTick(progress_ ? clock_.edgeAfter(eq_->curTick())
+                           : skipQuietCycles());
+}
+
+/**
+ * Called after a tick that changed nothing. Every later edge runs the
+ * same stages on the same state, and so changes nothing either, until
+ * the next event on this queue runs, the run() in progress ends (the
+ * barrier phase may deliver mail or refill a buffer), or a thread's
+ * fetch hold-off expires. Account the edges before that point as the
+ * per-cycle pipeline would, and return the first edge at or after it.
+ *
+ * The skipped tick is scheduled before any event that could run ahead
+ * of it, so it takes the same (when, prio, seq) place among them as
+ * the per-cycle tick at that edge would; this needs the CPU to be the
+ * only component on its queue that schedules itself past quiet cycles.
+ */
+Tick
+SmtCpu::skipQuietCycles()
+{
+    Tick now = eq_->curTick();
+    Tick next = clock_.edgeAfter(now);
+    Tick limit = eq_->runLimit();
+    Tick wake = std::min(eq_->nextTick(),
+                         limit == maxTick ? maxTick : limit + 1);
+    for (const auto &t : threads_) {
+        if (t->fetchResumeTick > now)
+            wake = std::min(wake, t->fetchResumeTick);
+    }
+    // Nothing can ever wake a wedged pipeline; it spins as it always has.
+    if (wake == maxTick)
+        return next;
+    Tick target = clock_.nextEdge(wake);
+    if (target <= next)
+        return next;
+
+    Cycles skipped = (target - next) / clock_.period();
+    cycles += skipped;
+    for (auto &t : threads_) {
+        if (t->memoryBlocked())
+            t->stats.memStallCycles += skipped;
+    }
+    rrCommit_ = static_cast<unsigned>((rrCommit_ + skipped) %
+                                      threads_.size());
+    if (skipped % 2 != 0)
+        frontPriorityApp_ = !frontPriorityApp_;
+    return target;
 }
 
 // --------------------------------------------------------------- fetch
@@ -340,7 +406,7 @@ void
 SmtCpu::fetchStage()
 {
     // ICOUNT: order runnable threads by in-flight count.
-    std::vector<ThreadState *> order;
+    auto runnable = fetchOrder_.begin();
     for (auto &t : threads_) {
         if (t->source == nullptr)
             continue;
@@ -349,9 +415,9 @@ SmtCpu::fetchStage()
         if (!t->wrongPathMode &&
             (t->source->finished() || !t->source->hasNext()))
             continue;
-        order.push_back(t.get());
+        *runnable++ = t.get();
     }
-    std::sort(order.begin(), order.end(),
+    std::sort(fetchOrder_.begin(), runnable,
               [](const ThreadState *a, const ThreadState *b) {
                   if (a->icount != b->icount)
                       return a->icount < b->icount;
@@ -360,7 +426,8 @@ SmtCpu::fetchStage()
 
     unsigned slots = params_.fetchWidth;
     unsigned threads_used = 0;
-    for (auto *t : order) {
+    for (auto it = fetchOrder_.begin(); it != runnable; ++it) {
+        ThreadState *t = *it;
         if (threads_used >= params_.fetchThreads || slots == 0)
             break;
         unsigned n = fetchFromThread(*t, slots);
@@ -401,6 +468,9 @@ SmtCpu::fetchFromThread(ThreadState &t, unsigned max_slots)
                 break;
             op = t.source->peek();
         }
+        // From here on the thread either fetches, or starts (or
+        // retries) an ITLB or I-cache access.
+        progress_ = true;
 
         // I-cache (and ITLB) for the line being fetched. Wrong-path
         // fetch is synthesized and skips the memory system.
@@ -498,6 +568,7 @@ SmtCpu::decodeStage()
             DynInst *dyn = src.front();
             if (dyn->squashed) {
                 src.pop_front();
+                progress_ = true;
                 continue;
             }
             unsigned total = static_cast<unsigned>(renameQApp_.size() +
@@ -515,6 +586,7 @@ SmtCpu::decodeStage()
             src.pop_front();
             dst.push_back(dyn);
             --budget;
+            progress_ = true;
         }
     };
     if (frontPriorityApp_) {
@@ -665,12 +737,14 @@ SmtCpu::renameStage()
             DynInst *dyn = q.front();
             if (dyn->squashed) {
                 q.pop_front();
+                progress_ = true;
                 continue;
             }
             if (!renameOne(dyn))
                 break; // In-order within the section.
             q.pop_front();
             --budget;
+            progress_ = true;
         }
     };
     if (frontPriorityApp_) {
@@ -706,6 +780,7 @@ SmtCpu::issueStage()
             DynInst *dyn = *it;
             if (dyn->squashed) {
                 it = q.erase(it);
+                progress_ = true;
                 continue;
             }
             if (!operandsReady(dyn)) {
@@ -730,6 +805,7 @@ SmtCpu::issueStage()
                             CompleteEv{this, dyn, dyn->uid});
             it = q.erase(it);
             ++issued;
+            progress_ = true;
         }
     };
     issue_from(intQ_, params_.intAlus);
@@ -852,6 +928,7 @@ SmtCpu::lsuIssue()
         }
         if (cand == nullptr || !operandsReady(cand))
             continue;
+        progress_ = true; // An access, or a Retry to poll next cycle.
         if (tryMemAccess(cand))
             return; // LSU busy for this cycle.
     }
@@ -1011,17 +1088,16 @@ SmtCpu::commitStage()
     // memory operation at the top of the active list.
     for (auto &tp : threads_) {
         ThreadState &t = *tp;
-        DynInst *head = t.rob.empty() ? nullptr : t.rob.front();
-        bool blocked =
-            head != nullptr && isMemOp(head->op.cls) && !head->completed;
+        bool blocked = t.memoryBlocked();
         if (blocked)
             ++t.stats.memStallCycles;
         if constexpr (trace::compiledIn) {
             if (trace_ != nullptr) {
+                OpClass cls = blocked ? t.rob.front()->op.cls
+                                      : OpClass::Nop;
                 std::uint8_t cause =
                     !blocked ? trace::stallNone
-                    : (head->op.cls == OpClass::Store ||
-                       head->op.cls == OpClass::PStore)
+                    : (cls == OpClass::Store || cls == OpClass::PStore)
                         ? trace::stallStore
                         : trace::stallLoad;
                 if (cause != t.stallCause) {
@@ -1050,6 +1126,7 @@ SmtCpu::commitStage()
             if (isNonSpeculative(head->op.cls) && !head->nonSpecStarted &&
                 operandsReady(head)) {
                 execNonSpec(head);
+                progress_ = true;
                 break;
             }
             if (!head->completed)
@@ -1062,6 +1139,7 @@ SmtCpu::commitStage()
                 head->completed = false;
                 head->memAccessed = false;
                 ++t.stats.replays;
+                progress_ = true;
                 Cycles penalty =
                     1 + divCeil(static_cast<unsigned>(t.rob.size()), 8);
                 t.fetchResumeTick = std::max(
@@ -1089,6 +1167,7 @@ SmtCpu::commitStage()
             }
 
             // Retire.
+            progress_ = true;
             if (isMemOp(head->op.cls)) {
                 SMTP_ASSERT(!t.lsqOrder.empty() &&
                                 t.lsqOrder.front() == head,
@@ -1128,6 +1207,7 @@ SmtCpu::drainStoreBuffer()
         req.addr = e.addr;
         req.tid = e.tid;
         req.done = SbDrainEv{this};
+        progress_ = true; // A drain, or a Retry to poll next cycle.
         if (cache_->access(req) != CacheHierarchy::Outcome::Retry)
             sbDrainBusy_ = true;
     }
@@ -1152,6 +1232,7 @@ SmtCpu::drainStoreBuffer()
         req.addr = it->addr;
         req.tid = it->tid;
         req.done = ProtoSbDrainEv{this, it->addr};
+        progress_ = true;
         if (cache_->access(req) != CacheHierarchy::Outcome::Retry)
             sbProtoDrainBusy_ = true;
     }

@@ -300,6 +300,8 @@ class SmtCpu
 
     void tick();
     void scheduleTick();
+    void scheduleTick(Tick when);
+    Tick skipQuietCycles();
 
     void fetchStage();
     unsigned fetchFromThread(ThreadState &t, unsigned max_slots);
@@ -352,6 +354,7 @@ class SmtCpu
     std::unique_ptr<LiveRegistry> live_;
 
     std::vector<std::unique_ptr<ThreadState>> threads_;
+    std::vector<ThreadState *> fetchOrder_; ///< ICOUNT scratch, one per thread.
 
     // Front-end queues: two logical sections sharing one capacity.
     std::deque<DynInst *> decodeQApp_, decodeQProto_;
@@ -384,6 +387,13 @@ class SmtCpu
     std::uint64_t seqCounter_ = 0;
     unsigned rrCommit_ = 0;
     bool tickScheduled_ = false;
+    /**
+     * Set by a stage that changed pipeline state this tick, or met a
+     * cache Retry (no event announces that an MSHR freed up, so a
+     * retrying access is polled every cycle). A tick that leaves it
+     * clear repeats unchanged until the next event on the queue.
+     */
+    bool progress_ = false;
     bool started_ = false;
 
     Tlb itlb_, dtlb_;

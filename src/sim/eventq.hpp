@@ -96,11 +96,21 @@ class EventQueue
     void
     run(Tick limit = maxTick)
     {
+        runLimit_ = limit;
         while (!heap_.empty() && heap_.front().when <= limit)
             runMin();
+        runLimit_ = 0;
         if (curTick_ < limit && limit != maxTick)
             curTick_ = limit;
     }
+
+    /**
+     * The limit of the run() in progress; 0 outside run() (and so under
+     * runOne()). Between an event and this limit the queue's owner sees
+     * no outside calls: barrier-phase work (mailbox deliveries, refills)
+     * happens only after run() returns.
+     */
+    Tick runLimit() const { return runLimit_; }
 
     /** Number of events executed so far (a cheap progress metric). */
     std::uint64_t executedCount() const { return executed_; }
@@ -209,6 +219,7 @@ class EventQueue
 
     std::vector<Entry> heap_; ///< Binary min-heap under Later.
     Tick curTick_ = 0;
+    Tick runLimit_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t executed_ = 0;
 };
