@@ -145,6 +145,14 @@ struct ModelCase
     const char *name;
 };
 
+// Without a printer gtest dumps the raw bytes (a string-literal address
+// and padding), which makes the discovered ctest names change per build.
+void
+PrintTo(const ModelCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class ExecAllModels : public ::testing::TestWithParam<ModelCase>
 {
 };
